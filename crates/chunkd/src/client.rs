@@ -63,8 +63,8 @@ use pbrs_obs::trace::{self, SpanRecord};
 use pbrs_store::{BackendCounters, ChunkBackend, ChunkId, ChunkRead, ChunkStatus, StoreError};
 
 use crate::protocol::{
-    decode_ping, decode_spans, decode_sweep, decode_verify, read_frame, write_frame, Request,
-    Response,
+    decode_ping, decode_spans, decode_sweep, decode_verify, encode_envelope, encode_write_chunk,
+    read_frame, write_frame, Request, Response,
 };
 
 /// Default connect / per-request I/O timeout.
@@ -405,6 +405,18 @@ impl RemoteDisk {
     /// op is idempotent, so a blind retry is safe). Many callers may be in
     /// this function concurrently; their requests share one socket.
     fn request(&self, request: &Request) -> io::Result<Response> {
+        self.request_with(0, |body| request.encode_into(body))
+    }
+
+    /// [`RemoteDisk::request`] for a request whose body `encode` appends
+    /// (`size_hint` bytes of it, to size the buffer): each lap builds the
+    /// trace/deadline envelope and the body in one buffer, so a borrowed
+    /// chunk payload is copied exactly once on its way to the socket.
+    fn request_with(
+        &self,
+        size_hint: usize,
+        encode: impl Fn(&mut Vec<u8>),
+    ) -> io::Result<Response> {
         let start = Instant::now();
         // The active trace, if this client propagates traces at all. An
         // untraced client (or one called outside any trace scope) never
@@ -415,19 +427,12 @@ impl RemoteDisk {
         } else {
             None
         };
-        let trace_wrap = |req: Request| match ctx {
-            Some(ctx) => Request::Trace {
-                ctx,
-                inner: Box::new(req),
-            },
-            None => req,
-        };
         let mut last = None;
         for _ in 0..2 {
             // Under an op budget each lap re-encodes with the budget
             // *remaining now*, so the server sees the client's true
             // patience and a spent budget never reaches the wire.
-            let (body, wait) = match self.op_budget {
+            let (budget_ms, wait) = match self.op_budget {
                 Some(budget) => {
                     let remaining = budget.saturating_sub(start.elapsed());
                     if remaining.is_zero() {
@@ -439,20 +444,17 @@ impl RemoteDisk {
                             ),
                         ));
                     }
-                    let wrapped = Request::Deadline {
-                        // max(1): on the wire, zero means "already expired".
-                        budget_ms: u32::try_from(remaining.as_millis())
-                            .unwrap_or(u32::MAX)
-                            .max(1),
-                        inner: Box::new(request.clone()),
-                    };
-                    (trace_wrap(wrapped).encode(), self.timeout.min(remaining))
+                    // max(1): on the wire, zero means "already expired".
+                    let budget_ms = u32::try_from(remaining.as_millis())
+                        .unwrap_or(u32::MAX)
+                        .max(1);
+                    (Some(budget_ms), self.timeout.min(remaining))
                 }
-                None => match ctx {
-                    Some(_) => (trace_wrap(request.clone()).encode(), self.timeout),
-                    None => (request.encode(), self.timeout),
-                },
+                None => (None, self.timeout),
             };
+            let mut body = Vec::with_capacity(64 + size_hint);
+            encode_envelope(&mut body, ctx, budget_ms);
+            encode(&mut body);
             let mux = match self.mux() {
                 Ok(mux) => mux,
                 Err(e) => {
@@ -642,10 +644,8 @@ impl ChunkBackend for RemoteDisk {
     fn write_chunk(&self, object: &str, id: ChunkId, payload: &[u8]) -> Result<(), StoreError> {
         as_u32("chunk payload", payload.len())?;
         let response = self
-            .request(&Request::WriteChunk {
-                object: object.to_string(),
-                id,
-                payload: payload.to_vec(),
+            .request_with(payload.len(), |body| {
+                encode_write_chunk(body, object, id, payload);
             })
             .map_err(|e| self.io_error(object, e))?;
         self.expect_ok(object, response).map(drop)

@@ -34,7 +34,7 @@
 //! ships only the bytes the rebuild consumes. [`Verify`](Request::Verify)
 //! checks a chunk server-side and ships only the verdict.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::time::Duration;
 
 use pbrs_obs::trace::{SpanId, SpanRecord, TraceCtx, TraceId};
@@ -205,6 +205,10 @@ pub const FRAME_OVERHEAD: u64 = 12;
 /// Writes one frame (length prefix + request id + body). Returns the
 /// total bytes put on the wire, for traffic accounting.
 ///
+/// Header and body go out in one vectored write — on a `TCP_NODELAY`
+/// socket one `writev(2)` and, for small frames, one segment — with a
+/// loop only for the rare short write.
+///
 /// # Errors
 ///
 /// Propagates I/O failures; rejects bodies above [`MAX_FRAME`].
@@ -212,10 +216,20 @@ pub fn write_frame(w: &mut impl Write, req_id: u64, body: &[u8]) -> io::Result<u
     if body.len() > MAX_FRAME {
         return Err(invalid(format!("frame body of {} bytes", body.len())));
     }
+    let mut header = [0u8; 12];
     // pbrs-lint: allow(wire-protocol) -- lossless: the MAX_FRAME guard above caps the length at 64 MiB
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(&req_id.to_le_bytes())?;
-    w.write_all(body)?;
+    header[0..4].copy_from_slice(&(body.len() as u32).to_le_bytes());
+    header[4..12].copy_from_slice(&req_id.to_le_bytes());
+    let mut parts = [IoSlice::new(&header), IoSlice::new(body)];
+    let mut parts = &mut parts[..];
+    while !parts.is_empty() {
+        match w.write_vectored(parts) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()?;
     Ok(FRAME_OVERHEAD + body.len() as u64)
 }
@@ -334,34 +348,60 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// Appends the wrappers a client puts around a request body — a
+/// [`Request::Trace`] envelope, then a [`Request::Deadline`] — in the order
+/// [`Request::encode`] nests them. Followed by the inner request's body,
+/// the result is byte-identical to encoding the wrapped request.
+pub fn encode_envelope(out: &mut Vec<u8>, ctx: Option<TraceCtx>, budget_ms: Option<u32>) {
+    if let Some(ctx) = ctx {
+        out.push(OP_TRACE);
+        out.extend_from_slice(&ctx.trace.as_u64().to_le_bytes());
+        out.extend_from_slice(&ctx.span.as_u64().to_le_bytes());
+    }
+    if let Some(budget_ms) = budget_ms {
+        out.push(OP_DEADLINE);
+        out.extend_from_slice(&budget_ms.to_le_bytes());
+    }
+}
+
+/// Appends a [`Request::WriteChunk`] body for a borrowed payload, so a
+/// client copies the chunk bytes once, straight into the frame body.
+pub fn encode_write_chunk(out: &mut Vec<u8>, object: &str, id: ChunkId, payload: &[u8]) {
+    out.push(OP_WRITE_CHUNK);
+    put_str(out, object);
+    put_id(out, id);
+    out.extend_from_slice(payload);
+}
+
 impl Request {
     /// Serialises the request into a frame body.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the request's frame body to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Request::Ping => out.push(OP_PING),
             Request::EnsureObject { object } => {
                 out.push(OP_ENSURE_OBJECT);
-                put_str(&mut out, object);
+                put_str(out, object);
             }
             Request::RemoveObject { object } => {
                 out.push(OP_REMOVE_OBJECT);
-                put_str(&mut out, object);
+                put_str(out, object);
             }
             Request::WriteChunk {
                 object,
                 id,
                 payload,
-            } => {
-                out.push(OP_WRITE_CHUNK);
-                put_str(&mut out, object);
-                put_id(&mut out, *id);
-                out.extend_from_slice(payload);
-            }
+            } => encode_write_chunk(out, object, *id, payload),
             Request::ReadChunk { object, id, len } => {
                 out.push(OP_READ_CHUNK);
-                put_str(&mut out, object);
-                put_id(&mut out, *id);
+                put_str(out, object);
+                put_id(out, *id);
                 out.extend_from_slice(&len.to_le_bytes());
             }
             Request::ReadRange {
@@ -372,8 +412,8 @@ impl Request {
                 len,
             } => {
                 out.push(OP_READ_RANGE);
-                put_str(&mut out, object);
-                put_id(&mut out, *id);
+                put_str(out, object);
+                put_id(out, *id);
                 out.extend_from_slice(&chunk_len.to_le_bytes());
                 out.extend_from_slice(&offset.to_le_bytes());
                 out.extend_from_slice(&len.to_le_bytes());
@@ -384,8 +424,8 @@ impl Request {
                 chunk_len,
             } => {
                 out.push(OP_VERIFY);
-                put_str(&mut out, object);
-                put_id(&mut out, *id);
+                put_str(out, object);
+                put_id(out, *id);
                 out.extend_from_slice(&chunk_len.to_le_bytes());
             }
             Request::SweepTmp { min_age } => {
@@ -396,19 +436,15 @@ impl Request {
                 out.extend_from_slice(&millis.to_le_bytes());
             }
             Request::Deadline { budget_ms, inner } => {
-                out.push(OP_DEADLINE);
-                out.extend_from_slice(&budget_ms.to_le_bytes());
-                out.extend_from_slice(&inner.encode());
+                encode_envelope(out, None, Some(*budget_ms));
+                inner.encode_into(out);
             }
             Request::Trace { ctx, inner } => {
-                out.push(OP_TRACE);
-                out.extend_from_slice(&ctx.trace.as_u64().to_le_bytes());
-                out.extend_from_slice(&ctx.span.as_u64().to_le_bytes());
-                out.extend_from_slice(&inner.encode());
+                encode_envelope(out, Some(*ctx), None);
+                inner.encode_into(out);
             }
             Request::FetchSpans => out.push(OP_FETCH_SPANS),
         }
-        out
     }
 
     /// Parses a request from a frame body.
@@ -900,6 +936,119 @@ mod tests {
         let mut zeroed = encode_spans(&spans[..1]);
         zeroed[4 + 8..4 + 16].fill(0);
         assert!(decode_spans(&zeroed).is_err());
+    }
+
+    /// A socket-like writer that logs every write call, plain or
+    /// vectored, accepting at most `max_per_call` bytes each time.
+    struct CountingWriter {
+        wire: Vec<u8>,
+        calls: usize,
+        max_per_call: usize,
+    }
+
+    impl CountingWriter {
+        fn new(max_per_call: usize) -> Self {
+            CountingWriter {
+                wire: Vec::new(),
+                calls: 0,
+                max_per_call,
+            }
+        }
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut room = self.max_per_call;
+            for buf in bufs {
+                let take = buf.len().min(room);
+                self.wire.extend_from_slice(&buf[..take]);
+                room -= take;
+            }
+            Ok(self.max_per_call - room)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The frame as three separate fields, the way it has always been laid
+    /// out on the wire.
+    fn legacy_frame(req_id: u64, body: &[u8]) -> Vec<u8> {
+        let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&req_id.to_le_bytes());
+        frame.extend_from_slice(body);
+        frame
+    }
+
+    #[test]
+    fn each_frame_is_one_write_call_with_unchanged_bytes() {
+        for len in [0usize, 5, 12, 16 * 1024] {
+            let body: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            let mut socket = CountingWriter::new(usize::MAX);
+            let sent = write_frame(&mut socket, 41, &body).unwrap();
+            assert_eq!(
+                socket.calls, 1,
+                "{len}-byte body took {} writes",
+                socket.calls
+            );
+            assert_eq!(socket.wire, legacy_frame(41, &body));
+            assert_eq!(sent, FRAME_OVERHEAD + len as u64);
+            // A socket that takes only a few bytes per call still gets
+            // the whole frame, in order.
+            let mut trickle = CountingWriter::new(5);
+            write_frame(&mut trickle, 41, &body).unwrap();
+            assert_eq!(trickle.wire, legacy_frame(41, &body));
+        }
+    }
+
+    #[test]
+    fn borrowed_write_chunk_bodies_match_the_wrapped_encoding() {
+        let id = ChunkId {
+            stripe: 9,
+            shard: 13,
+        };
+        let payload = vec![0xA5u8; 300];
+        let plain = Request::WriteChunk {
+            object: "obj".into(),
+            id,
+            payload: payload.clone(),
+        };
+        let ctx = TraceCtx::from_raw(0x1111, 0x2222).unwrap();
+        for (trace, budget_ms) in [
+            (None, None),
+            (Some(ctx), None),
+            (None, Some(250)),
+            (Some(ctx), Some(250)),
+        ] {
+            let mut wrapped = plain.clone();
+            if let Some(budget_ms) = budget_ms {
+                wrapped = Request::Deadline {
+                    budget_ms,
+                    inner: Box::new(wrapped),
+                };
+            }
+            if let Some(ctx) = trace {
+                wrapped = Request::Trace {
+                    ctx,
+                    inner: Box::new(wrapped),
+                };
+            }
+            let mut body = Vec::new();
+            encode_envelope(&mut body, trace, budget_ms);
+            encode_write_chunk(&mut body, "obj", id, &payload);
+            assert_eq!(
+                body,
+                wrapped.encode(),
+                "trace {trace:?}, budget {budget_ms:?}"
+            );
+            assert_eq!(Request::decode(&body).unwrap(), wrapped);
+        }
     }
 
     #[test]

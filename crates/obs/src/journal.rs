@@ -106,15 +106,20 @@ impl EventJournal {
     /// Record an event now, tagged with the scoped trace if one is
     /// active on this thread.
     pub fn push(&self, kind: EventKind, detail: impl Into<String>) {
-        let event = Event {
-            at: SystemTime::now(),
-            kind,
-            detail: detail.into(),
-            trace: trace::current_ctx().map(|ctx| ctx.trace),
-        };
+        let detail = detail.into();
+        let trace = trace::current_ctx().map(|ctx| ctx.trace);
         let mut inner = match self.inner.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
+        };
+        // Stamped under the lock: a thread preempted between reading the
+        // clock and pushing would otherwise land an older time after a
+        // newer one, and the ring would no longer be in time order.
+        let event = Event {
+            at: SystemTime::now(),
+            kind,
+            detail,
+            trace,
         };
         if inner.len() == self.capacity {
             inner.pop_front();

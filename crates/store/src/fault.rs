@@ -29,6 +29,12 @@
 //! (fire at most N times). Fault words: `delay=DURms`, `stall`, `drop`,
 //! `short`, `corrupt`, `error`.
 //!
+//! `after=`, `count=` and `p=` apply **per disk**: a rule keeps one op
+//! sequence for each disk it matches, so `op=write error after=10`
+//! fails every disk's writes from that disk's 11th on. The store writes
+//! a stripe's chunks to its disks concurrently; per-disk sequences are
+//! what keep each disk's fault pattern independent of thread timing.
+//!
 //! # Fault semantics at the backend boundary
 //!
 //! * **delay** — sleep, then run the real op.
@@ -47,12 +53,12 @@
 //!   the verifying backend surface turns into [`ChunkStatus::Corrupt`]
 //!   with a distinct reason; non-reads degrade to **error**.
 //!
-//! Every fired fault is counted per rule ([`FaultPlan::fired`]) so tests
-//! can assert the schedule actually executed.
+//! Every fired fault is counted ([`FaultPlan::fired`], the total over
+//! rules and disks) so tests can assert the schedule actually executed.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -113,14 +119,21 @@ struct Rule {
     kind: FaultKind,
     /// Fire probability in 1/65536ths (65536 = always).
     prob: u32,
-    /// Skip the first `after` matching ops.
+    /// Skip the first `after` matching ops of each disk.
     after: u64,
-    /// Fire at most this many times.
+    /// Fire at most this many times on each disk.
     count: Option<u64>,
-    /// Ops that matched the predicate so far.
-    matched: AtomicU64,
-    /// Times the rule actually fired.
-    fired: AtomicU64,
+    /// Per-disk op sequence and firings, keyed by disk index.
+    tallies: Mutex<HashMap<usize, Tally>>,
+}
+
+/// One disk's progress through one rule.
+#[derive(Debug, Default)]
+struct Tally {
+    /// Ops of this disk that matched the predicate so far.
+    matched: u64,
+    /// Times the rule fired on this disk.
+    fired: u64,
 }
 
 impl Rule {
@@ -249,8 +262,7 @@ impl FaultPlan {
             prob,
             after,
             count,
-            matched: AtomicU64::new(0),
-            fired: AtomicU64::new(0),
+            tallies: Mutex::new(HashMap::new()),
         })
     }
 
@@ -294,9 +306,11 @@ impl FaultPlan {
     pub fn fired(&self) -> u64 {
         self.rules
             .iter()
-            // Relaxed: stats read; per-rule totals need not be a
-            // consistent cross-rule cut.
-            .map(|r| r.fired.load(Ordering::Relaxed))
+            .map(|r| {
+                // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
+                let tallies = r.tallies.lock().expect("lock");
+                tallies.values().map(|t| t.fired).sum::<u64>()
+            })
             .sum()
     }
 
@@ -308,50 +322,22 @@ impl FaultPlan {
             if !rule.matches(disk, op) {
                 continue;
             }
-            // Relaxed RMW: the atomicity of fetch_add alone guarantees
-            // unique seqs; no other memory rides on this counter.
-            let seq = rule.matched.fetch_add(1, Ordering::Relaxed);
-            if seq < rule.after {
-                continue;
-            }
-            if let Some(cap) = rule.count {
-                // Relaxed: advisory fast path only — the authoritative
-                // cap check is the fetch_update claim below.
-                if rule.fired.load(Ordering::Relaxed) >= cap {
+            {
+                // The whole decision — sequence number, window, cap and
+                // draw — happens under one lock, so concurrent ops on one
+                // disk cannot over-fire a capped rule either.
+                // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
+                let mut tallies = rule.tallies.lock().expect("lock");
+                let tally = tallies.entry(disk).or_default();
+                let seq = tally.matched;
+                tally.matched += 1;
+                if seq < rule.after || rule.count.is_some_and(|cap| tally.fired >= cap) {
                     continue;
                 }
-            }
-            if rule.prob < 65536 {
-                // splitmix64 over (seed, rule, seq): deterministic per
-                // plan seed and op sequence, decorrelated across rules.
-                let mut z = self
-                    .seed
-                    .wrapping_add((idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                    .wrapping_add(seq.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                z ^= z >> 31;
-                if (z & 0xFFFF) as u32 >= rule.prob {
+                if rule.prob < 65536 && draw(self.seed, idx, disk, seq) >= rule.prob {
                     continue;
                 }
-            }
-            if let Some(cap) = rule.count {
-                // Claim one firing slot atomically: checking the cap and
-                // incrementing in one RMW, otherwise two concurrent gates
-                // could both pass a load-then-add and over-fire the rule.
-                let claimed = rule
-                    .fired
-                    // Relaxed: only this counter's own value decides.
-                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |fired| {
-                        (fired < cap).then_some(fired + 1)
-                    })
-                    .is_ok();
-                if !claimed {
-                    continue;
-                }
-            } else {
-                // Relaxed: uncapped tally, read only by fired().
-                rule.fired.fetch_add(1, Ordering::Relaxed);
+                tally.fired += 1;
             }
             match rule.kind {
                 FaultKind::Delay(d) => {
@@ -373,6 +359,20 @@ impl FaultPlan {
         }
         None
     }
+}
+
+/// splitmix64 over (seed, rule, disk, seq), reduced to 1/65536ths:
+/// deterministic per plan seed and per-disk op sequence, decorrelated
+/// across rules and disks.
+fn draw(seed: u64, rule: usize, disk: usize, seq: u64) -> u32 {
+    let mut z = seed
+        .wrapping_add((rule as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .wrapping_add((disk as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93))
+        .wrapping_add(seq.wrapping_mul(0xBF58_476D_1CE4_E5B9));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    (z & 0xFFFF) as u32
 }
 
 fn parse_duration(v: &str) -> std::result::Result<Duration, String> {
@@ -663,10 +663,66 @@ mod tests {
         assert!(FaultPlan::named("no-such-plan", 1).is_err());
     }
 
+    /// A disk-less rule keeps one op sequence per disk, so each disk's
+    /// fire pattern depends only on that disk's own ops — never on how
+    /// concurrent ops on other disks interleave with them.
+    #[test]
+    fn per_disk_patterns_survive_any_interleaving() {
+        const DISKS: usize = 6;
+        const OPS: usize = 48;
+        let text = "op=write error p=0.5; op=write error after=40 count=3";
+        let sequential: Vec<Vec<bool>> = {
+            let plan = FaultPlan::parse(text, 17).unwrap();
+            (0..DISKS)
+                .map(|d| {
+                    (0..OPS)
+                        .map(|_| plan.gate(d, FaultOp::Write).is_some())
+                        .collect()
+                })
+                .collect()
+        };
+        for round in 0..8u64 {
+            let plan = FaultPlan::parse(text, 17).unwrap();
+            let start = std::sync::Barrier::new(DISKS);
+            let concurrent: Vec<Vec<bool>> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..DISKS)
+                    .map(|d| {
+                        let (plan, start) = (&plan, &start);
+                        s.spawn(move || {
+                            // A per-thread xorshift picks how long to
+                            // yield between ops: a different shuffle of
+                            // the disks' ops every round.
+                            let mut x =
+                                (round * 31 + d as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                            start.wait();
+                            (0..OPS)
+                                .map(|_| {
+                                    x ^= x << 13;
+                                    x ^= x >> 7;
+                                    x ^= x << 17;
+                                    for _ in 0..x % 4 {
+                                        std::thread::yield_now();
+                                    }
+                                    plan.gate(d, FaultOp::Write).is_some()
+                                })
+                                .collect()
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            assert_eq!(concurrent, sequential, "round {round}");
+            let total: usize = sequential.iter().flatten().filter(|&&f| f).count();
+            assert_eq!(plan.fired(), total as u64, "fired() is the total");
+        }
+        // The draws are decorrelated across disks.
+        assert_ne!(sequential[0], sequential[1]);
+    }
+
     /// Regression: the `count=` cap used to be a load-then-add, so two
     /// threads racing through `gate` could both pass the check and
-    /// over-fire the rule. The cap claim is now a single RMW; no
-    /// interleaving may yield more injections than the cap.
+    /// over-fire the rule. The cap is now checked and claimed under the
+    /// rule's lock; no interleaving may yield more injections than the cap.
     #[test]
     fn count_cap_holds_under_concurrent_gates() {
         for round in 0..8 {

@@ -29,13 +29,22 @@
 //! `put` streams an object into stripes of `k × chunk_len` bytes, encodes
 //! each stripe with the zero-copy [`ErasureCode::encode_into`] into a single
 //! contiguous [`ShardBuffer`], and writes all `k + r` chunks as checksummed
-//! files (see [`crate::chunk`]). Stripes are independent, so with
+//! files (see [`crate::chunk`]). A stripe's chunks live on distinct disks
+//! and share no state, so its `k + r` chunk writes are fanned out across
+//! those disks at once — one scoped thread per write, the encoding thread
+//! running one itself — and the stripe costs its slowest write (an fsync
+//! or a chunkd round trip), not the sum of all of them. Its
+//! [`Stage::ChunkIo`] time is that wall time. Preparing the object's
+//! directory on every disk, and removing a failed object's chunks, fan
+//! out the same way. Stripes are independent too, so with
 //! [`StoreConfig::pipeline_workers`] `> 1` the caller's thread only streams
 //! the reader into a bounded pool of recycled stripe buffers while worker
 //! threads encode and write the chunk files — the SIMD GF kernels and the
 //! chunk-file I/O overlap instead of alternating. The manifest is committed
 //! only after every chunk of the object is durable, so a crashed `put`
-//! leaves orphan chunks, never a readable-but-wrong object.
+//! leaves orphan chunks, never a readable-but-wrong object; a failed one
+//! removes its chunks only after every write of the stripe has returned,
+//! so no late write lands after the cleanup.
 //!
 //! # Read path and degraded reads
 //!
@@ -107,7 +116,10 @@ pub struct StoreConfig {
     /// granularity (Piggybacked-RS needs even lengths).
     pub chunk_len: usize,
     /// Worker threads of the `put`/`get` stripe pipeline. `1` disables the
-    /// pipeline and runs every stripe inline on the calling thread. A
+    /// pipeline and runs every stripe inline on the calling thread. Either
+    /// way each stripe's chunk writes fan out across its disks (see the
+    /// [module docs](self)), so a single-worker `put` still has `k + r`
+    /// writes in flight; this knob sets how many *stripes* overlap. A
     /// runtime knob only — not part of the on-disk geometry, so reopening
     /// with a different width is always valid.
     pub pipeline_workers: usize,
@@ -960,15 +972,15 @@ impl BlockStore {
             .expect("lock") // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
             .tombstones
             .contains(name);
-        if tombstoned {
-            for disk in &self.disks {
+        // One job per disk: its remove-then-ensure pair stays in order on
+        // that disk, while the disks themselves proceed concurrently.
+        fan_out(self.disks.len(), "prepare object dirs on disk", |disk| {
+            let disk = &self.disks[disk];
+            if tombstoned {
                 disk.remove_object(name)?;
             }
-        }
-        for disk in &self.disks {
-            disk.ensure_object(name)?;
-        }
-        Ok(())
+            disk.ensure_object(name)
+        })
     }
 
     fn put_reserved(&self, name: &str, mut reader: impl Read) -> Result<ObjectInfo> {
@@ -1048,7 +1060,9 @@ impl BlockStore {
     }
 
     /// Encodes the (already filled) data shards of `buf` and writes all
-    /// `n` chunk files of `stripe`.
+    /// `n` chunk files of `stripe`, one concurrent write per disk.
+    /// `times` gets the encode as [`Stage::Erasure`] and the writes' wall
+    /// time (the slowest disk's) as [`Stage::ChunkIo`].
     pub(crate) fn encode_and_write_stripe(
         &self,
         name: &str,
@@ -1096,10 +1110,13 @@ impl BlockStore {
         // Pure function of (seed, name, stripe): pipeline workers derive the
         // same row the commit later persists, with no coordination.
         let row = self.map.disks_for_object_stripe(name, stripe);
+        let buf: &ShardBuffer = buf;
+        // Every shard of the stripe lives on its own disk, so the n writes
+        // share no state: the stripe costs its slowest write, not the sum.
         let io_start = Instant::now();
-        for (shard, &disk) in row.iter().enumerate() {
-            self.disks[disk].write_chunk(name, ChunkId { stripe, shard }, buf.shard(shard))?;
-        }
+        fan_out(n, "write of shard", |shard| {
+            self.disks[row[shard]].write_chunk(name, ChunkId { stripe, shard }, buf.shard(shard))
+        })?;
         times.add_duration(Stage::ChunkIo, io_start.elapsed());
         StoreMetrics::add(&self.metrics.chunks_written, n as u64);
         StoreMetrics::add(
@@ -1261,12 +1278,12 @@ impl BlockStore {
         Ok((total, stripe))
     }
 
-    /// Best-effort removal of every chunk of `name` on every disk (cleanup
-    /// after a failed `put`).
+    /// Best-effort removal of every chunk of `name` on every disk at once
+    /// (cleanup after a failed `put`).
     pub(crate) fn remove_object_chunks(&self, name: &str) {
-        for disk in &self.disks {
-            let _ = disk.remove_object(name);
-        }
+        let _ = fan_out(self.disks.len(), "remove object on disk", |disk| {
+            self.disks[disk].remove_object(name)
+        });
     }
 
     // ------------------------------------------------------------------
@@ -2340,6 +2357,42 @@ impl Drop for ReturnBuffer<'_> {
             let _ = self.free_tx.send(buf);
         }
     }
+}
+
+/// Runs `job(0..jobs)` concurrently — one scoped thread per job, with the
+/// calling thread running job 0 itself — and returns only once every job
+/// has finished, so a caller's cleanup never races a write still in
+/// flight. Each job runs under the caller's trace context. The first error
+/// in job order wins; a panicking job surfaces as
+/// [`StoreError::WorkerPanic`] naming `what` and the job index.
+fn fan_out(jobs: usize, what: &str, job: impl Fn(usize) -> Result<()> + Sync) -> Result<()> {
+    let trace_ctx = trace::current_ctx();
+    let job = &job;
+    let results: Vec<Result<()>> = thread::scope(|scope| {
+        let spawned: Vec<_> = (1..jobs)
+            .map(|i| {
+                scope.spawn(move || {
+                    let _trace = ScopedCtx::enter(trace_ctx);
+                    job(i)
+                })
+            })
+            .collect();
+        let first = catch_unwind(AssertUnwindSafe(|| job(0)));
+        // Join every job before looking at any result: the first error
+        // must not leave a write running behind the caller's cleanup.
+        std::iter::once(first)
+            .chain(spawned.into_iter().map(|h| h.join()))
+            .enumerate()
+            .map(|(i, joined)| {
+                joined.unwrap_or_else(|payload| {
+                    Err(StoreError::WorkerPanic {
+                        context: format!("{what} {i}: {}", panic_message(payload.as_ref())),
+                    })
+                })
+            })
+            .collect()
+    });
+    results.into_iter().collect()
 }
 
 /// Best-effort text of a caught panic payload (`panic!` with a string
