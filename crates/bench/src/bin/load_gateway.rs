@@ -365,9 +365,7 @@ fn main() {
 
     let dir = TempDir::new("bench-gateway");
     let base_config = || {
-        StoreConfig::new(dir.path().join("store"), SPEC.parse().expect("spec"))
-            .chunk_len(CHUNK_LEN)
-            .pipeline_workers(1)
+        StoreConfig::new(dir.path().join("store"), SPEC.parse().expect("spec")).chunk_len(CHUNK_LEN)
     };
     // Remote mode: the pool is real chunkd servers on loopback, so
     // chunk_io spans carry `chunkd://` backends and chunkd-local spans

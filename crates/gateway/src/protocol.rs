@@ -39,7 +39,7 @@
 //! the blocking [`read_frame`]/[`write_frame`] helpers serve the client
 //! side and tests.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 use pbrs_obs::trace::TraceCtx;
 
@@ -538,6 +538,10 @@ pub fn frame_header(req_id: u64, len: usize) -> [u8; FRAME_OVERHEAD] {
 
 /// Blocking frame write (client side and tests): header + body, flushed.
 ///
+/// Header and body go out in one vectored write — on a `TCP_NODELAY`
+/// socket one `writev(2)` and, for small frames, one segment — with a
+/// loop only for the rare short write.
+///
 /// # Errors
 ///
 /// `InvalidData` when `body` exceeds [`MAX_FRAME`]; otherwise transport
@@ -546,8 +550,17 @@ pub fn write_frame(w: &mut impl Write, req_id: u64, body: &[u8]) -> io::Result<(
     if body.len() > MAX_FRAME {
         return Err(invalid(format!("frame body of {} bytes", body.len())));
     }
-    w.write_all(&frame_header(req_id, body.len()))?;
-    w.write_all(body)?;
+    let header = frame_header(req_id, body.len());
+    let mut parts = [IoSlice::new(&header), IoSlice::new(body)];
+    let mut parts = &mut parts[..];
+    while !parts.is_empty() {
+        match w.write_vectored(parts) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -711,5 +724,66 @@ mod tests {
         // Truncated u64 fields.
         assert!(Response::decode(&[ST_CREATED, 1, 2, 3]).is_err());
         assert!(Response::decode(&[ST_OBJ_END, 1]).is_err());
+    }
+
+    /// A socket-like writer that logs every write call, plain or
+    /// vectored, accepting at most `max_per_call` bytes each time.
+    struct CountingWriter {
+        wire: Vec<u8>,
+        calls: usize,
+        max_per_call: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut room = self.max_per_call;
+            for buf in bufs {
+                let take = buf.len().min(room);
+                self.wire.extend_from_slice(&buf[..take]);
+                room -= take;
+            }
+            Ok(self.max_per_call - room)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write_call_with_unchanged_bytes() {
+        for len in [0usize, 5, 12, 16 * 1024] {
+            let body: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            // The documented layout: len u32 LE, req_id u64 LE, body.
+            let mut expected = (len as u32).to_le_bytes().to_vec();
+            expected.extend_from_slice(&41u64.to_le_bytes());
+            expected.extend_from_slice(&body);
+            let mut socket = CountingWriter {
+                wire: Vec::new(),
+                calls: 0,
+                max_per_call: usize::MAX,
+            };
+            write_frame(&mut socket, 41, &body).unwrap();
+            assert_eq!(
+                socket.calls, 1,
+                "{len}-byte body took {} writes",
+                socket.calls
+            );
+            assert_eq!(socket.wire, expected);
+            // A socket that takes only a few bytes per call still gets the
+            // whole frame, in order.
+            let mut trickle = CountingWriter {
+                wire: Vec::new(),
+                calls: 0,
+                max_per_call: 5,
+            };
+            write_frame(&mut trickle, 41, &body).unwrap();
+            assert_eq!(trickle.wire, expected);
+        }
     }
 }

@@ -92,9 +92,11 @@
 //!   be mistaken for damage.
 //! * **Worker panics are contained.** A panicking repair worker is counted
 //!   as a failure (the daemon keeps running and
-//!   [`RepairDaemon::wait_idle`] still terminates), and a panicking
-//!   pipeline encode worker fails the `put` with
-//!   [`error::StoreError::WorkerPanic`] instead of deadlocking it.
+//!   [`RepairDaemon::wait_idle`] still terminates). A panic while encoding
+//!   or writing a stripe — at any `put` width, or inside
+//!   [`ObjectWriter::write`] — comes back as
+//!   [`error::StoreError::WorkerPanic`]; the partial object's chunks are
+//!   removed and its name is released like any failed ingest.
 //!
 //! # Example
 //!

@@ -36,15 +36,19 @@
 //! or a chunkd round trip), not the sum of all of them. Its
 //! [`Stage::ChunkIo`] time is that wall time. Preparing the object's
 //! directory on every disk, and removing a failed object's chunks, fan
-//! out the same way. Stripes are independent too, so with
-//! [`StoreConfig::pipeline_workers`] `> 1` the caller's thread only streams
-//! the reader into a bounded pool of recycled stripe buffers while worker
-//! threads encode and write the chunk files — the SIMD GF kernels and the
-//! chunk-file I/O overlap instead of alternating. The manifest is committed
-//! only after every chunk of the object is durable, so a crashed `put`
-//! leaves orphan chunks, never a readable-but-wrong object; a failed one
-//! removes its chunks only after every write of the stripe has returned,
-//! so no late write lands after the cleanup.
+//! out the same way. Stripes are independent too, so `put` works in
+//! batches: the caller's thread fills up to
+//! [`StoreConfig::pipeline_workers`] stripe buffers from the reader, then
+//! encodes and writes the whole batch at once, one stripe per job of the
+//! same fan-out, and repeats until the reader ends. The streaming
+//! [`crate::ObjectWriter`] sends each stripe through that batch function as
+//! a batch of one, so there is one ingest path at every width. The
+//! manifest is committed only after every chunk of the object is durable,
+//! so a crashed `put` leaves orphan chunks, never a readable-but-wrong
+//! object; a failed one removes its chunks only after every write of the
+//! batch has returned, so no late write lands after the cleanup. A panic
+//! while encoding or writing fails the `put` with
+//! [`StoreError::WorkerPanic`].
 //!
 //! # Read path and degraded reads
 //!
@@ -57,10 +61,12 @@
 //! [`ErasureCode::reconstruct_in_place`] over every surviving chunk. The
 //! helper bytes crossing disks are counted in [`StoreMetrics`], which is how
 //! the paper's ~30 % repair-traffic saving becomes measurable on real file
-//! I/O. Multi-stripe `get`s run through the same worker pipeline as `put`,
-//! each worker decoding its contiguous run of stripes straight into the
+//! I/O. `get` splits the object into up to
+//! [`StoreConfig::pipeline_workers`] contiguous runs of stripes and fans
+//! them out: each job decodes its run straight into its own slice of the
 //! output buffer with one reusable stripe-sized scratch — no per-stripe
-//! allocation on the hot path.
+//! allocation on the hot path. A width of 1, or a one-stripe object, is a
+//! single job on the caller's thread.
 //!
 //! # Repair path
 //!
@@ -75,7 +81,7 @@ use std::io::{self, Read};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -96,8 +102,8 @@ use pbrs_obs::{Event, EventJournal, EventKind, Stage, StageTimes};
 /// Default chunk payload length: 64 KiB.
 pub const DEFAULT_CHUNK_LEN: usize = 64 * 1024;
 
-/// Default width of the `put`/`get` stripe pipeline (matches the repair
-/// daemon's default worker count).
+/// Default number of stripes a whole-object `put`/`get` keeps in flight
+/// (matches the repair daemon's default worker count).
 pub const DEFAULT_PIPELINE_WORKERS: usize = 4;
 
 /// How old a `*.tmp` file must be before [`BlockStore::scrub`] deletes it
@@ -115,12 +121,15 @@ pub struct StoreConfig {
     /// Payload bytes per chunk. Must be a positive multiple of the code's
     /// granularity (Piggybacked-RS needs even lengths).
     pub chunk_len: usize,
-    /// Worker threads of the `put`/`get` stripe pipeline. `1` disables the
-    /// pipeline and runs every stripe inline on the calling thread. Either
-    /// way each stripe's chunk writes fan out across its disks (see the
-    /// [module docs](self)), so a single-worker `put` still has `k + r`
-    /// writes in flight; this knob sets how many *stripes* overlap. A
-    /// runtime knob only — not part of the on-disk geometry, so reopening
+    /// Stripes in flight in a whole-object `put` or `get`: the size of a
+    /// `put` batch, and the number of stripe runs a `get` decodes at once.
+    /// `1` runs every stripe on the calling thread. Either way each
+    /// stripe's chunk writes fan out across its disks (see the
+    /// [module docs](self)), so a width-1 `put` still has `k + r` writes in
+    /// flight. Seeded [`crate::FaultPlan`] replay through `get`/`put` is
+    /// reproducible only at width 1: wider, the order in which stripes
+    /// reach a disk, and so which op draws which fault, varies run to run.
+    /// A runtime knob only — not part of the on-disk geometry, so reopening
     /// with a different width is always valid.
     pub pipeline_workers: usize,
     /// Seed of the deterministic stripe placement (persisted in the
@@ -172,7 +181,8 @@ impl StoreConfig {
         self
     }
 
-    /// Overrides the stripe-pipeline worker count (clamped to at least 1).
+    /// Overrides the stripes in flight per `put`/`get` (clamped to at
+    /// least 1).
     #[must_use]
     pub fn pipeline_workers(mut self, workers: usize) -> Self {
         self.pipeline_workers = workers.max(1);
@@ -753,8 +763,9 @@ impl BlockStore {
 
     /// Test-only failure injection: while enabled, every stripe encode
     /// (the write path's `encode_and_write_stripe` step) panics. Exists so
-    /// crash-safety tests can prove the put pipeline fails fast instead of
-    /// deadlocking when a worker dies; never enable it outside tests.
+    /// crash-safety tests can prove a panicking encode fails its `put` or
+    /// [`crate::ObjectWriter`] with [`StoreError::WorkerPanic`] and frees
+    /// the name; never enable it outside tests.
     pub fn inject_encode_panic(&self, enabled: bool) {
         self.fail.encode_panic.store(enabled, Ordering::SeqCst);
     }
@@ -974,23 +985,44 @@ impl BlockStore {
             .contains(name);
         // One job per disk: its remove-then-ensure pair stays in order on
         // that disk, while the disks themselves proceed concurrently.
-        fan_out(self.disks.len(), "prepare object dirs on disk", |disk| {
-            let disk = &self.disks[disk];
+        fan_out(&self.disks, "prepare object dirs on disk", |disk| {
             if tombstoned {
                 disk.remove_object(name)?;
             }
             disk.ensure_object(name)
-        })
+        })?;
+        Ok(())
     }
 
+    /// The ingest loop: fill up to `pipeline_workers` stripe buffers from
+    /// the reader, write that batch through [`BlockStore::write_stripes`],
+    /// repeat until the reader ends, then commit.
     fn put_reserved(&self, name: &str, mut reader: impl Read) -> Result<ObjectInfo> {
         self.prepare_object_dirs(name)?;
-        let (total, stripe) = if self.pipeline_workers > 1 {
-            self.ingest_pipelined(name, &mut reader)?
-        } else {
-            self.ingest_sequential(name, &mut reader)?
-        };
-        self.commit_object(name, total, stripe)
+        let n = self.code.params().total_shards();
+        let stripe_len = self.stripe_data_len();
+        // Allocated on first use, so a small object holds one stripe buffer.
+        let mut bufs: Vec<ShardBuffer> = Vec::new();
+        let mut total = 0u64;
+        let mut stripes = 0u64;
+        // A stripe shorter than `stripe_len` is the reader's last.
+        let mut last = stripe_len;
+        while last == stripe_len {
+            let mut batch = 0;
+            while batch < self.pipeline_workers && last == stripe_len {
+                if bufs.len() == batch {
+                    bufs.push(ShardBuffer::zeroed(n, self.chunk_len));
+                }
+                last = self.fill_stripe_data(&mut reader, &mut bufs[batch])?;
+                total += last as u64;
+                if last > 0 {
+                    batch += 1;
+                }
+            }
+            self.write_stripes(name, stripes, &mut bufs[..batch], &mut StageTimes::new())?;
+            stripes += batch as u64;
+        }
+        self.commit_object(name, total, stripes)
     }
 
     /// The durable commit of a fully ingested object (every chunk of every
@@ -1004,7 +1036,7 @@ impl BlockStore {
             len: total,
             stripes,
         };
-        // Re-derive the rows the ingest workers used (placement is a pure
+        // Re-derive the rows the stripe jobs used (placement is a pure
         // function of name + stripe) and pin them in the manifest.
         let rows: Option<Vec<Vec<usize>>> =
             (self.map.policy() != PlacementPolicy::Identity).then(|| {
@@ -1037,9 +1069,8 @@ impl BlockStore {
         Ok(info)
     }
 
-    /// Fills the data shards of `buf` from `reader`, zeroing everything
-    /// past the stream's end so stale bytes from a previous stripe never
-    /// leak into parity. Returns the payload bytes consumed.
+    /// Fills the data shards of `buf` from `reader` and zeroes whatever
+    /// the stream's end left unfilled. Returns the payload bytes consumed.
     fn fill_stripe_data(&self, reader: &mut impl Read, buf: &mut ShardBuffer) -> Result<usize> {
         let k = self.code.params().data_shards();
         let mut stripe_bytes = 0usize;
@@ -1049,21 +1080,58 @@ impl BlockStore {
                 .map_err(|e| StoreError::io(self.root.join("<input>"), e))?;
             stripe_bytes += got;
             if got < shard.len() {
-                shard[got..].fill(0);
-                for j in i + 1..k {
-                    buf.shard_mut(j).fill(0);
-                }
                 break;
             }
         }
+        self.zero_data_tail(buf, stripe_bytes);
         Ok(stripe_bytes)
+    }
+
+    /// Zeroes the data shards of `buf` past its first `filled` payload
+    /// bytes, so a partial tail stripe never leaks an earlier stripe's
+    /// bytes into parity.
+    pub(crate) fn zero_data_tail(&self, buf: &mut ShardBuffer, filled: usize) {
+        let k = self.code.params().data_shards();
+        let (first, offset) = (filled / self.chunk_len, filled % self.chunk_len);
+        for shard in first..k {
+            let from = if shard == first { offset } else { 0 };
+            buf.shard_mut(shard)[from..].fill(0);
+        }
+    }
+
+    /// Encodes and writes a batch of filled stripe buffers as stripes
+    /// `first..first + bufs.len()`, one [`fan_out`] job per stripe; it
+    /// returns only after every write of the batch has returned. The one
+    /// ingest step of both [`BlockStore::put`] and the streaming
+    /// [`crate::ObjectWriter`]. `times` gets the sum of every stripe's
+    /// [`Stage`] times.
+    pub(crate) fn write_stripes(
+        &self,
+        name: &str,
+        first: u64,
+        bufs: &mut [ShardBuffer],
+        times: &mut StageTimes,
+    ) -> Result<()> {
+        let stripe_times = fan_out(
+            bufs.iter_mut().zip(first..),
+            "encode/write of batch stripe",
+            |(buf, stripe)| {
+                let mut stripe_times = StageTimes::new();
+                self.encode_and_write_stripe(name, stripe, buf, &mut stripe_times)?;
+                Ok(stripe_times)
+            },
+        )?;
+        for stripe_times in &stripe_times {
+            times.merge(stripe_times);
+        }
+        Ok(())
     }
 
     /// Encodes the (already filled) data shards of `buf` and writes all
     /// `n` chunk files of `stripe`, one concurrent write per disk.
     /// `times` gets the encode as [`Stage::Erasure`] and the writes' wall
     /// time (the slowest disk's) as [`Stage::ChunkIo`].
-    pub(crate) fn encode_and_write_stripe(
+    fn encode_and_write_stripe(
         &self,
         name: &str,
         stripe: u64,
@@ -1107,14 +1175,15 @@ impl BlockStore {
             self.code.encode_into(&data, &mut parity)?;
             times.add_duration(Stage::Erasure, erasure_start.elapsed());
         }
-        // Pure function of (seed, name, stripe): pipeline workers derive the
-        // same row the commit later persists, with no coordination.
+        // Pure function of (seed, name, stripe): concurrent stripe jobs
+        // derive the same row the commit later persists, with no
+        // coordination.
         let row = self.map.disks_for_object_stripe(name, stripe);
         let buf: &ShardBuffer = buf;
         // Every shard of the stripe lives on its own disk, so the n writes
         // share no state: the stripe costs its slowest write, not the sum.
         let io_start = Instant::now();
-        fan_out(n, "write of shard", |shard| {
+        fan_out(0..n, "write of shard", |shard| {
             self.disks[row[shard]].write_chunk(name, ChunkId { stripe, shard }, buf.shard(shard))
         })?;
         times.add_duration(Stage::ChunkIo, io_start.elapsed());
@@ -1126,163 +1195,11 @@ impl BlockStore {
         Ok(())
     }
 
-    /// The single-threaded ingest loop: fill, encode, write, repeat.
-    fn ingest_sequential(&self, name: &str, reader: &mut impl Read) -> Result<(u64, u64)> {
-        let n = self.code.params().total_shards();
-        let mut buf = ShardBuffer::zeroed(n, self.chunk_len);
-        let mut total = 0u64;
-        let mut stripe = 0u64;
-        loop {
-            let stripe_bytes = self.fill_stripe_data(reader, &mut buf)?;
-            if stripe_bytes == 0 {
-                break;
-            }
-            total += stripe_bytes as u64;
-            self.encode_and_write_stripe(name, stripe, &mut buf, &mut StageTimes::new())?;
-            stripe += 1;
-            if stripe_bytes < self.stripe_data_len() {
-                break;
-            }
-        }
-        Ok((total, stripe))
-    }
-
-    /// The pipelined ingest loop: the calling thread streams the reader
-    /// into a small pool of recycled stripe buffers while the workers
-    /// encode and write the chunk files, so GF arithmetic and chunk-file
-    /// I/O overlap instead of alternating.
-    ///
-    /// The pool is bounded (`workers + 1` buffers), which back-pressures
-    /// the reader; a worker *always* returns its buffer — even when the
-    /// encode step panics, via [`ReturnBuffer`] — so the reader can never
-    /// deadlock waiting for one. Panics are caught at the worker boundary
-    /// and surfaced as [`StoreError::WorkerPanic`]; the first error wins,
-    /// later stripes are skipped, and `put` removes any chunks already
-    /// written.
-    fn ingest_pipelined(&self, name: &str, reader: &mut impl Read) -> Result<(u64, u64)> {
-        let n = self.code.params().total_shards();
-        let workers = self.pipeline_workers;
-        let (work_tx, work_rx) = mpsc::channel::<(u64, ShardBuffer)>();
-        let (free_tx, free_rx) = mpsc::channel::<ShardBuffer>();
-        for _ in 0..workers + 1 {
-            free_tx
-                .send(ShardBuffer::zeroed(n, self.chunk_len))
-                // pbrs-lint: allow(panic-hygiene) -- the receiver end is owned by this function and not yet dropped
-                .expect("receiver lives on this thread");
-        }
-        let work_rx = Mutex::new(work_rx);
-        let failure: Mutex<Option<StoreError>> = Mutex::new(None);
-
-        let mut total = 0u64;
-        let mut stripe = 0u64;
-        let mut read_error: Option<StoreError> = None;
-        // The ambient trace context is thread-local; carry it across the
-        // worker boundary so stripe spans parent under the caller's op.
-        let trace_ctx = trace::current_ctx();
-        thread::scope(|scope| {
-            for _ in 0..workers {
-                let work_rx = &work_rx;
-                let failure = &failure;
-                let free_tx = free_tx.clone();
-                scope.spawn(move || {
-                    let _trace = ScopedCtx::enter(trace_ctx);
-                    loop {
-                        // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
-                        let received = work_rx.lock().expect("lock").recv();
-                        let Ok((stripe, buf)) = received else {
-                            return; // ingest finished: work channel closed
-                        };
-                        // The buffer rides in a drop guard: if anything
-                        // below unwinds, the buffer still goes back to the
-                        // pool — a lost buffer is exactly how the reader
-                        // deadlocks.
-                        let mut guard = ReturnBuffer {
-                            buf: Some(buf),
-                            free_tx: &free_tx,
-                        };
-                        // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
-                        let result = if failure.lock().expect("lock").is_some() {
-                            Ok(()) // an earlier stripe already failed; drain only
-                        } else {
-                            // pbrs-lint: allow(panic-hygiene) -- the guard's buffer is only taken on drop, after this closure
-                            let buf = guard.buf.as_mut().expect("held until drop");
-                            catch_unwind(AssertUnwindSafe(|| {
-                                self.encode_and_write_stripe(
-                                    name,
-                                    stripe,
-                                    buf,
-                                    &mut StageTimes::new(),
-                                )
-                            }))
-                            .unwrap_or_else(|payload| {
-                                Err(StoreError::WorkerPanic {
-                                    context: format!(
-                                        "pipelined encode/write of stripe {stripe}: {}",
-                                        panic_message(payload.as_ref())
-                                    ),
-                                })
-                            })
-                        };
-                        // Return the buffer before reporting, so the
-                        // reader thread can always make progress.
-                        drop(guard);
-                        if let Err(e) = result {
-                            // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
-                            let mut slot = failure.lock().expect("lock");
-                            if slot.is_none() {
-                                *slot = Some(e);
-                            }
-                        }
-                    }
-                });
-            }
-
-            loop {
-                // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
-                if failure.lock().expect("lock").is_some() {
-                    break;
-                }
-                // pbrs-lint: allow(panic-hygiene) -- worker threads return every buffer before the channel closes
-                let mut buf = free_rx.recv().expect("workers always return buffers");
-                let stripe_bytes = match self.fill_stripe_data(reader, &mut buf) {
-                    Ok(bytes) => bytes,
-                    Err(e) => {
-                        read_error = Some(e);
-                        break;
-                    }
-                };
-                if stripe_bytes == 0 {
-                    break;
-                }
-                total += stripe_bytes as u64;
-                work_tx
-                    .send((stripe, buf))
-                    // pbrs-lint: allow(panic-hygiene) -- worker threads outlive the work channel by scope construction
-                    .expect("workers outlive the work channel");
-                stripe += 1;
-                if stripe_bytes < self.stripe_data_len() {
-                    break;
-                }
-            }
-            // Closing the work channel drains the workers.
-            drop(work_tx);
-        });
-
-        if let Some(e) = read_error {
-            return Err(e);
-        }
-        // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
-        if let Some(e) = failure.into_inner().expect("lock") {
-            return Err(e);
-        }
-        Ok((total, stripe))
-    }
-
     /// Best-effort removal of every chunk of `name` on every disk at once
     /// (cleanup after a failed `put`).
     pub(crate) fn remove_object_chunks(&self, name: &str) {
-        let _ = fan_out(self.disks.len(), "remove object on disk", |disk| {
-            self.disks[disk].remove_object(name)
+        let _ = fan_out(&self.disks, "remove object on disk", |disk| {
+            disk.remove_object(name)
         });
     }
 
@@ -1303,11 +1220,10 @@ impl BlockStore {
     /// Reads object `name` back, transparently falling back to degraded
     /// reads for stripes with missing or corrupt chunks.
     ///
-    /// Stripes are independent, so multi-stripe objects are served through
-    /// the store's worker pipeline (see [`StoreConfig::pipeline_workers`]):
-    /// each worker owns one reusable stripe-sized scratch and decodes its
-    /// share of stripes straight into the output buffer, overlapping
-    /// chunk-file I/O with GF decoding.
+    /// Stripes are independent, so the object is split into up to
+    /// [`StoreConfig::pipeline_workers`] contiguous runs of stripes, served
+    /// at once: each run's job owns one reusable stripe-sized scratch and
+    /// decodes straight into its own slice of the output buffer.
     ///
     /// # Errors
     ///
@@ -1327,84 +1243,33 @@ impl BlockStore {
         let mut out = vec![0u8; padded];
         // Resolve every stripe's placement once, outside the hot loop.
         let rows = self.object_rows(name, info.stripes);
-        let workers = self.pipeline_workers.min(stripes.max(1));
-        if workers <= 1 {
-            let mut scratch = self.new_scratch();
-            let mut times = StageTimes::new();
-            for (stripe, dest) in out.chunks_mut(stripe_len).enumerate() {
-                self.read_stripe_into(
-                    name,
-                    stripe as u64,
-                    &rows[stripe],
-                    dest,
-                    &mut scratch,
-                    &mut times,
-                )?;
-            }
-        } else {
-            self.read_stripes_parallel(name, &rows, &mut out, workers)?;
-        }
+        // At least 1: `chunks_mut` rejects 0, and an empty object has no runs.
+        let per_run = stripes.div_ceil(self.pipeline_workers).max(1);
+        fan_out(
+            out.chunks_mut(per_run * stripe_len).enumerate(),
+            "read of stripe run",
+            |(run, region)| {
+                let mut scratch = self.new_scratch();
+                let mut times = StageTimes::new();
+                for (i, dest) in region.chunks_mut(stripe_len).enumerate() {
+                    let stripe = run * per_run + i;
+                    self.read_stripe_into(
+                        name,
+                        stripe as u64,
+                        &rows[stripe],
+                        dest,
+                        &mut scratch,
+                        &mut times,
+                    )?;
+                }
+                Ok(())
+            },
+        )?;
         // pbrs-lint: allow(panic-hygiene) -- an object larger than usize::MAX could not have been written
         out.truncate(usize::try_from(info.len).expect("object fits in memory"));
         StoreMetrics::add(&self.metrics.objects_read, 1);
         StoreMetrics::add(&self.metrics.bytes_served, info.len);
         Ok(out)
-    }
-
-    /// Decodes the object's stripes into `out` with a static partition:
-    /// worker `w` owns a contiguous run of stripes (and the matching slice
-    /// of `out`), plus one private scratch reused across its run.
-    fn read_stripes_parallel(
-        &self,
-        name: &str,
-        rows: &[Vec<usize>],
-        out: &mut [u8],
-        workers: usize,
-    ) -> Result<()> {
-        let stripe_len = self.stripe_data_len();
-        let stripes = out.len() / stripe_len;
-        let per_worker = stripes.div_ceil(workers);
-        let failure: Mutex<Option<StoreError>> = Mutex::new(None);
-        // The ambient trace context is thread-local; carry it across the
-        // worker boundary so stripe spans parent under the caller's op.
-        let trace_ctx = trace::current_ctx();
-        thread::scope(|scope| {
-            for (w, region) in out.chunks_mut(per_worker * stripe_len).enumerate() {
-                let failure = &failure;
-                scope.spawn(move || {
-                    let _trace = ScopedCtx::enter(trace_ctx);
-                    let mut scratch = self.new_scratch();
-                    let mut times = StageTimes::new();
-                    let first = w * per_worker;
-                    for (i, dest) in region.chunks_mut(stripe_len).enumerate() {
-                        // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
-                        if failure.lock().expect("lock").is_some() {
-                            return; // another stripe already failed
-                        }
-                        if let Err(e) = self.read_stripe_into(
-                            name,
-                            (first + i) as u64,
-                            &rows[first + i],
-                            dest,
-                            &mut scratch,
-                            &mut times,
-                        ) {
-                            // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
-                            let mut slot = failure.lock().expect("lock");
-                            if slot.is_none() {
-                                *slot = Some(e);
-                            }
-                            return;
-                        }
-                    }
-                });
-            }
-        });
-        // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
-        match failure.into_inner().expect("lock") {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
     }
 
     /// Serves the `k × chunk_len` data bytes of one stripe into `dest`,
@@ -2343,41 +2208,34 @@ impl BlockStore {
     }
 }
 
-/// Returns a pipeline stripe buffer to the free pool when dropped — even
-/// mid-panic-unwind, so a dying encode worker can never starve the reader
-/// thread of buffers (the deadlock this guard exists to prevent).
-struct ReturnBuffer<'a> {
-    buf: Option<ShardBuffer>,
-    free_tx: &'a mpsc::Sender<ShardBuffer>,
-}
-
-impl Drop for ReturnBuffer<'_> {
-    fn drop(&mut self) {
-        if let Some(buf) = self.buf.take() {
-            let _ = self.free_tx.send(buf);
-        }
-    }
-}
-
-/// Runs `job(0..jobs)` concurrently — one scoped thread per job, with the
-/// calling thread running job 0 itself — and returns only once every job
-/// has finished, so a caller's cleanup never races a write still in
-/// flight. Each job runs under the caller's trace context. The first error
-/// in job order wins; a panicking job surfaces as
-/// [`StoreError::WorkerPanic`] naming `what` and the job index.
-fn fan_out(jobs: usize, what: &str, job: impl Fn(usize) -> Result<()> + Sync) -> Result<()> {
+/// Runs `job` on every item of `jobs` concurrently — one scoped thread
+/// per item, with the calling thread running the first item itself — and
+/// returns only once every job has finished, so a caller's cleanup never
+/// races a write still in flight. No items means no jobs. Each job runs
+/// under the caller's trace context. Results come back in item order; the
+/// first error in that order wins, and a panicking job surfaces as
+/// [`StoreError::WorkerPanic`] naming `what` and the job's position.
+fn fan_out<T: Send, R: Send>(
+    jobs: impl IntoIterator<Item = T>,
+    what: &str,
+    job: impl Fn(T) -> Result<R> + Sync,
+) -> Result<Vec<R>> {
+    let mut jobs = jobs.into_iter();
+    let Some(first) = jobs.next() else {
+        return Ok(Vec::new());
+    };
     let trace_ctx = trace::current_ctx();
     let job = &job;
-    let results: Vec<Result<()>> = thread::scope(|scope| {
-        let spawned: Vec<_> = (1..jobs)
-            .map(|i| {
+    let results: Vec<Result<R>> = thread::scope(|scope| {
+        let spawned: Vec<_> = jobs
+            .map(|item| {
                 scope.spawn(move || {
                     let _trace = ScopedCtx::enter(trace_ctx);
-                    job(i)
+                    job(item)
                 })
             })
             .collect();
-        let first = catch_unwind(AssertUnwindSafe(|| job(0)));
+        let first = catch_unwind(AssertUnwindSafe(|| job(first)));
         // Join every job before looking at any result: the first error
         // must not leave a write running behind the caller's cleanup.
         std::iter::once(first)
@@ -2458,11 +2316,13 @@ mod tests {
 
     #[test]
     fn pipeline_and_sequential_stores_agree_bit_for_bit() {
-        // The same object through a 1-worker (inline) store and a wide
-        // pipeline must produce identical chunk files and reads.
+        // The same object through a width-1 store and a width-3 one must
+        // produce identical chunk files and reads, at every batch boundary:
+        // empty, one stripe, exactly one batch, one batch and a byte, and
+        // several batches with a partial last stripe.
         let dir = TempDir::new("store-pipeline-parity");
         let spec: CodeSpec = "piggyback-4-2".parse().unwrap();
-        let data = pattern(4 * 512 * 7 + 311); // 8 stripes, last partial
+        let stripe_len = 4 * 512;
         let inline = BlockStore::open(
             StoreConfig::new(dir.path().join("inline"), spec)
                 .chunk_len(512)
@@ -2475,19 +2335,30 @@ mod tests {
                 .pipeline_workers(3),
         )
         .unwrap();
-        inline.put("obj", &data[..]).unwrap();
-        piped.put("obj", &data[..]).unwrap();
-        for stripe in 0..8 {
-            for shard in 0..6 {
-                assert_eq!(
-                    fs::read(inline.chunk_path("obj", stripe, shard)).unwrap(),
-                    fs::read(piped.chunk_path("obj", stripe, shard)).unwrap(),
-                    "stripe {stripe} shard {shard}"
-                );
+        for (name, len, stripes) in [
+            ("empty", 0, 0),
+            ("one", stripe_len, 1),
+            ("batch", 3 * stripe_len, 3),
+            ("batch-and-a-byte", 3 * stripe_len + 1, 4),
+            ("many", 7 * stripe_len + 311, 8),
+        ] {
+            let data = pattern(len);
+            assert_eq!(inline.put(name, &data[..]).unwrap().stripes, stripes);
+            assert_eq!(piped.put(name, &data[..]).unwrap().stripes, stripes);
+            for stripe in 0..stripes {
+                for shard in 0..6 {
+                    assert_eq!(
+                        fs::read(inline.chunk_path(name, stripe, shard)).unwrap(),
+                        fs::read(piped.chunk_path(name, stripe, shard)).unwrap(),
+                        "{name}: stripe {stripe} shard {shard}"
+                    );
+                }
             }
+            assert!(!inline.chunk_path(name, stripes, 0).exists(), "{name}");
+            assert!(!piped.chunk_path(name, stripes, 0).exists(), "{name}");
+            assert_eq!(inline.get(name).unwrap(), data, "{name}");
+            assert_eq!(piped.get(name).unwrap(), data, "{name}");
         }
-        assert_eq!(inline.get("obj").unwrap(), data);
-        assert_eq!(piped.get("obj").unwrap(), data);
     }
 
     #[test]
@@ -2712,27 +2583,43 @@ mod tests {
 
     #[test]
     fn panicking_pipeline_worker_fails_put_instead_of_hanging() {
-        let dir = TempDir::new("store-pipeline-panic");
-        let store = BlockStore::open(
-            StoreConfig::new(dir.path().join("store"), "rs-4-2".parse().unwrap())
-                .chunk_len(512)
-                .pipeline_workers(2),
-        )
-        .unwrap();
-        store.inject_encode_panic(true);
-        // 8 stripes: enough work that losing stripe buffers to dead
-        // workers used to starve the reader and hang put() forever.
-        let data = pattern(4 * 512 * 8);
-        let result = store.put("obj", &data[..]);
-        assert!(
-            matches!(result, Err(StoreError::WorkerPanic { .. })),
-            "put must surface the worker panic: {result:?}"
-        );
-        // The failed put cleaned up after itself and the store still works.
-        store.inject_encode_panic(false);
-        assert!(store.objects().is_empty());
-        store.put("obj", &data[..]).unwrap();
-        assert_eq!(store.get("obj").unwrap(), data);
+        for workers in [1, 2] {
+            let dir = TempDir::new("store-pipeline-panic");
+            let store = BlockStore::open(
+                StoreConfig::new(dir.path().join("store"), "rs-4-2".parse().unwrap())
+                    .chunk_len(512)
+                    .pipeline_workers(workers),
+            )
+            .unwrap();
+            store.inject_encode_panic(true);
+            // 8 stripes: several batches at either width.
+            let data = pattern(4 * 512 * 8);
+            let result = store.put("obj", &data[..]);
+            assert!(
+                matches!(result, Err(StoreError::WorkerPanic { .. })),
+                "width {workers}: put must surface the worker panic: {result:?}"
+            );
+            // The failed put cleaned up after itself, released the name,
+            // and the store still works.
+            store.inject_encode_panic(false);
+            assert!(store.objects().is_empty());
+            store.put("obj", &data[..]).unwrap();
+            assert_eq!(store.get("obj").unwrap(), data);
+        }
+    }
+
+    #[test]
+    fn fan_out_runs_every_item_once_in_order_and_none_for_no_items() {
+        use std::sync::atomic::AtomicUsize;
+        let calls = AtomicUsize::new(0);
+        let job = |i: usize| -> Result<usize> {
+            calls.fetch_add(1, Ordering::SeqCst);
+            Ok(i * 10)
+        };
+        assert!(fan_out(0..0, "job", job).unwrap().is_empty());
+        assert_eq!(calls.load(Ordering::SeqCst), 0, "no items, no jobs");
+        assert_eq!(fan_out(0..4, "job", job).unwrap(), [0, 10, 20, 30]);
+        assert_eq!(calls.load(Ordering::SeqCst), 4);
     }
 
     #[test]

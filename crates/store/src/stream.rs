@@ -107,8 +107,9 @@ impl ObjectWriter {
     ///
     /// # Errors
     ///
-    /// Chunk-write and codec failures. After an error the writer is
-    /// poisoned: further writes and [`ObjectWriter::finish`] fail, and
+    /// Chunk-write and codec failures, and [`StoreError::WorkerPanic`]
+    /// when encoding or writing a stripe panics. After an error the writer
+    /// is poisoned: further writes and [`ObjectWriter::finish`] fail, and
     /// dropping it cleans up the partial object.
     pub fn write(&mut self, mut data: &[u8]) -> Result<()> {
         self.check_open()?;
@@ -130,24 +131,14 @@ impl ObjectWriter {
     }
 
     /// Encodes and writes the buffered stripe (zero-padding a partial
-    /// tail), poisoning the writer on failure.
+    /// tail) as a batch of one through `put`'s own batch step, poisoning
+    /// the writer on failure.
     fn flush_stripe(&mut self) -> Result<()> {
-        let chunk_len = self.store.chunk_len();
-        let k = self.store.stripe_data_len() / chunk_len;
-        // Zero everything past the payload: a partial tail stripe must not
-        // leak bytes from the previous stripe into parity.
-        let shard = self.filled / chunk_len;
-        if shard < k {
-            let offset = self.filled % chunk_len;
-            self.buf.shard_mut(shard)[offset..].fill(0);
-            for s in shard + 1..k {
-                self.buf.shard_mut(s).fill(0);
-            }
-        }
-        let result = self.store.encode_and_write_stripe(
+        self.store.zero_data_tail(&mut self.buf, self.filled);
+        let result = self.store.write_stripes(
             &self.name,
             self.stripes,
-            &mut self.buf,
+            std::slice::from_mut(&mut self.buf),
             &mut self.stage_times,
         );
         match result {
@@ -463,6 +454,31 @@ mod tests {
         ));
         // The name is free again, and a clean ingest works.
         let data = pattern(1000);
+        let mut writer = store.writer("obj").unwrap();
+        writer.write(&data).unwrap();
+        writer.finish().unwrap();
+        assert_eq!(store.get("obj").unwrap(), data);
+    }
+
+    #[test]
+    fn panicking_encode_fails_the_write_and_frees_the_name() {
+        let dir = TempDir::new("stream-panic");
+        let store = small_store(&dir, "rs-4-2");
+        let data = pattern(4 * 512 * 2 + 100);
+        store.inject_encode_panic(true);
+        let mut writer = store.writer("obj").unwrap();
+        // The first full stripe flushes inside `write`: the panic comes
+        // back as an error instead of unwinding into the caller.
+        let result = writer.write(&data);
+        assert!(
+            matches!(result, Err(StoreError::WorkerPanic { .. })),
+            "write must surface the encode panic: {result:?}"
+        );
+        assert!(writer.write(&data).is_err(), "a failed writer is poisoned");
+        drop(writer);
+        store.inject_encode_panic(false);
+        assert!(store.objects().is_empty());
+        // The name is free again, and a clean writer commits.
         let mut writer = store.writer("obj").unwrap();
         writer.write(&data).unwrap();
         writer.finish().unwrap();
